@@ -69,17 +69,13 @@ def main(argv=None) -> int:
     print(f"iperf: {server.bytes_received / 1e6:.2f} MB delivered\n")
     print(profiler.format_report())
 
-    # Per-batch dispatch stats: how much of the event volume the
-    # batched same-slot drain and the cascading upper wheel levels
-    # absorbed alongside the per-component breakdown above.
-    d = vini.sim.dispatch_stats
-    print("\nengine dispatch (whole run):")
-    print(f"  slot batches      {d['batches']:>10,}  "
-          f"(mean {d['batch_mean']:.1f} events/batch, max {d['batch_max']})")
-    print(f"  batched events    {d['batch_events']:>10,}")
-    print(f"  cascades          {d['cascades']:>10,}  "
-          f"({d['cascaded_events']:,} events promoted)")
-    print(f"  call_soon fast    {d['call_soon_fast']:>10,}")
+    # Engine event counts for the whole run, warm-up included: events
+    # scheduled (each periodic re-arm and each later-cancelled event
+    # counts once), and events still queued at the end.
+    sim = vini.sim
+    print("\nengine events (whole run):")
+    print(f"  scheduled         {sim._seq:>10,}")
+    print(f"  pending at end    {sim.pending:>10,}")
     return 0
 
 

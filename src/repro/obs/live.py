@@ -31,7 +31,7 @@ is the window into a run *while it executes*:
   ``abort`` — stop the simulator and write a diagnostic snapshot.
 
 The wall-clock side hooks the engine through ``Simulator._live_hook``,
-polled once per outer dispatch pass: a single ``is not None`` test when
+polled between events: a single ``is not None`` test when
 nothing is installed, and a counter-strided ``perf_counter`` check when
 a monitor is. Sim-time stalls (a livelocked same-timestamp storm) are
 exactly the case a periodic sim event can never observe — the hook can.
@@ -344,7 +344,7 @@ class LiveMonitor:
     clock:
         Wall-clock source (tests inject a synthetic one).
     poll_stride:
-        Outer dispatch passes between engine-hook clock checks.
+        Run-loop iterations between engine-hook clock checks.
     """
 
     def __init__(
@@ -425,13 +425,11 @@ class LiveMonitor:
         return self.watch(key, lambda: metrics.sum_values(name, **labels))
 
     def watch_engine(self) -> "LiveMonitor":
-        """Probe the engine's batched-dispatch counters
-        (:attr:`Simulator.dispatch_stats`): batches, cascades, and the
-        call_soon fast lane — all deterministic for a given seed."""
+        """Probe the engine's queue: live pending events and events
+        scheduled so far — both deterministic for a given seed."""
         sim = self.sim
-        self.watch("engine.batches", lambda: sim._batches)
-        self.watch("engine.cascades", lambda: sim._cascades)
-        self.watch("engine.call_soon_fast", lambda: sim._soon_count)
+        self.watch("sim.pending", lambda: sim.pending)
+        self.watch("sim.events_scheduled", lambda: sim._seq)
         return self
 
     def watch_queues(self) -> "LiveMonitor":
@@ -550,7 +548,7 @@ class LiveMonitor:
     def _wall_poll(self) -> int:
         """Engine-hook callback: refresh the status line and run the
         watchdogs if ``wall_interval`` has elapsed. Returns the number
-        of dispatch passes until the engine polls again."""
+        of run-loop iterations until the engine polls again."""
         wall_now = self._clock()
         if self._wall_start is None:
             self._wall_start = wall_now

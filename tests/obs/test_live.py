@@ -332,7 +332,8 @@ def test_same_seed_live_feed_is_byte_identical():
     assert len(rows) > 4  # header + anchor + periodic + final
     assert rows[-1]["t"] == 1.0
     # Engine probes made it into every snapshot.
-    assert "engine.batches" in rows[1]["probes"]
+    assert "sim.pending" in rows[1]["probes"]
+    assert rows[-1]["probes"]["sim.events_scheduled"] == rows[-1]["events"]
 
 
 def test_different_seed_changes_feed_content():

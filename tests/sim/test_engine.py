@@ -106,10 +106,8 @@ def test_stop_halts_run():
 
 def test_stop_during_run_until_preserves_order():
     # Regression: run(until) used to fast-forward now to `until` even
-    # after stop(), stranding live level-0 events behind the wheel
-    # scan-start clamp — a later run() then fired t=12 before t=5 and
-    # sent the clock backwards.
-    sim = Simulator(wheel_slots=8, wheel_width=1.0)
+    # after stop(), moving the clock past still-pending events.
+    sim = Simulator()
     fired = []
     sim.at(2.0, sim.stop)
     sim.at(5.0, lambda: fired.append((5.0, sim.now)))
@@ -123,37 +121,9 @@ def test_stop_during_run_until_preserves_order():
     sim.run()
     assert fired == [(5.0, 5.0), (12.0, 12.0)]
     # Fast-forward still applies when the queue genuinely drains.
-    sim2 = Simulator(wheel_slots=8, wheel_width=1.0)
+    sim2 = Simulator()
     sim2.at(1.0, lambda: None)
     assert sim2.run(until=30.0) == 30.0
-
-
-def test_corpse_only_upper_level_falls_back_to_heap():
-    # The boundary scan purges cancelled events from upper-level
-    # buckets; if that empties every level while level 0 is empty too,
-    # the drain loop must fall back to the heap path cleanly.
-    sim = Simulator(wheel_width=0.01, wheel_slots=16,
-                    wheel_levels=3, wheel_upper_slots=8)
-    fired = []
-    parked = sim.at(5.0, fired.append, "upper")  # parks in an upper level
-    sim.at(10_000.0, fired.append, "heap")  # overflow heap
-    parked.cancel()
-    sim.run()
-    assert fired == ["heap"]
-
-
-def test_ring_aliased_upper_bucket_does_not_gate_later_events():
-    # Two upper-level events a full ring apart share a masked bucket;
-    # the earlier one must not drag the later one's window forward,
-    # and events between them must fire in between.
-    sim = Simulator(wheel_width=0.01, wheel_slots=16,
-                    wheel_levels=2, wheel_upper_slots=8)
-    log = []
-    sim.at(0.2, log.append, 0.2)
-    sim.at(0.2 + 0.01 * 16 * 8, log.append, "aliased")
-    sim.at(0.5, log.append, 0.5)
-    sim.run()
-    assert log == [0.2, 0.5, "aliased"]
 
 
 def test_step_executes_single_event():
@@ -217,8 +187,8 @@ def test_different_seeds_differ():
 
 
 # ----------------------------------------------------------------------
-# Hot-path machinery: O(1) pending, heap compaction, timer wheel,
-# in-place rescheduling, native periodic events.
+# Hot-path machinery: O(1) pending, heap compaction, in-place
+# rescheduling, native periodic events, call_unique coalescing.
 # ----------------------------------------------------------------------
 def test_pending_counter_is_live():
     sim = Simulator()
@@ -234,16 +204,18 @@ def test_pending_counter_is_live():
 
 
 def test_pending_counts_wheel_and_heap_events():
+    # A near and a far event (once split between a timing wheel and an
+    # overflow heap) share the one queue; run(until) leaves the far one.
     sim = Simulator()
-    sim.at(0.001, lambda: None)  # wheel
-    sim.at(500.0, lambda: None)  # far past the horizon: overflow heap
+    sim.at(0.001, lambda: None)
+    sim.at(500.0, lambda: None)
     assert sim.pending == 2
     sim.run(until=1.0)
     assert sim.pending == 1
 
 
 def test_cancelled_heap_entries_are_compacted():
-    sim = Simulator(wheel=False)
+    sim = Simulator()
     events = [sim.at(10.0 + i * 0.01, lambda: None) for i in range(1000)]
     assert len(sim._heap) == 1000
     for event in events[:900]:
@@ -253,30 +225,10 @@ def test_cancelled_heap_entries_are_compacted():
     assert sim.pending == 100
 
 
-def test_compaction_disabled_keeps_corpses():
-    sim = Simulator(wheel=False, compact_threshold=None)
-    events = [sim.at(10.0 + i * 0.01, lambda: None) for i in range(1000)]
-    for event in events[:900]:
-        event.cancel()
-    assert len(sim._heap) == 1000
-    assert sim.pending == 100
-
-
-def test_events_beyond_wheel_horizon_fire_in_order():
-    sim = Simulator(wheel_width=0.01, wheel_slots=16)  # horizon: 0.16s
-    order = []
-    sim.at(5.0, order.append, "far")
-    sim.at(0.05, order.append, "near")
-    sim.at(1.0, order.append, "mid")
-    sim.run()
-    assert order == ["near", "mid", "far"]
-    assert sim.now == 5.0
-
-
 def test_schedule_from_callback_into_current_drain():
-    # An event scheduled *behind the cursor's slot* mid-drain still
-    # fires in correct order.
-    sim = Simulator(wheel_width=0.01, wheel_slots=16)
+    # An event scheduled from a callback between two already-queued
+    # events fires between them.
+    sim = Simulator()
     order = []
 
     def first():
@@ -324,10 +276,40 @@ def test_schedule_periodic_fires_and_cancels():
         sim.schedule_periodic(0.0, lambda: None)
 
 
+def test_periodic_cancelled_between_ticks_leaves_no_event():
+    # The queued next tick is dead, so the clock stops at the cancel
+    # and the live counter is dropped exactly once.
+    sim = Simulator()
+    fired = []
+    timer = sim.schedule_periodic(1.0, lambda: fired.append(sim.now))
+    sim.at(20.5, timer.cancel)
+    sim.run()
+    assert fired[-1] == 20.0
+    assert sim.now == 20.5
+    assert sim.pending == 0
+
+
+def test_periodic_rearm_sorts_before_callback_schedules():
+    # The engine re-arms a periodic event before running it, so a
+    # same-time event scheduled by the callback fires after the tick.
+    sim = Simulator()
+    order = []
+
+    def tick():
+        order.append(("tick", sim.now))
+        if sim.now == 1.0:
+            sim.at(1.0, lambda: order.append(("child", sim.now)))
+
+    timer = sim.schedule_periodic(1.0, tick)
+    sim.run(until=2.5)
+    timer.cancel()
+    assert order == [("tick", 1.0), ("tick", 2.0), ("child", 2.0)]
+
+
 def test_stop_mid_slot_preserves_remaining_events():
     sim = Simulator()
     fired = []
-    # Two events in the same wheel slot; the first stops the run.
+    # Two events 0.1 ms apart; the first stops the run.
     sim.at(0.0041, lambda: (fired.append("a"), sim.stop()))
     sim.at(0.0042, fired.append, "b")
     sim.run()
@@ -337,33 +319,9 @@ def test_stop_mid_slot_preserves_remaining_events():
     assert fired == ["a", "b"]
 
 
-def test_cancel_event_parked_in_upper_wheel_level():
-    # Level-0 horizon is 0.16s; 5.0s parks in an upper level.
-    sim = Simulator(wheel_width=0.01, wheel_slots=16)
-    fired = []
-    far = sim.at(5.0, fired.append, "far")
-    sim.at(6.0, fired.append, "after")
-    assert sim._upper_count >= 1
-    far.cancel()
-    assert sim.pending == 1
-    sim.run()
-    assert fired == ["after"]
-    assert not far.active
-
-
-def test_reschedule_rejects_event_parked_in_upper_level():
-    sim = Simulator(wheel_width=0.01, wheel_slots=16)
-    parked = sim.at(5.0, lambda: None)
-    assert sim._upper_count >= 1
-    with pytest.raises(RuntimeError):
-        sim.reschedule(parked, 10.0)
-    parked.cancel()
-    sim.run()
-
-
 def test_cancel_event_staged_in_drain_batch():
-    # Both events land in the same level-0 slot; the first cancels the
-    # second after the batch has already been pre-sorted and staged.
+    # The first of three near-simultaneous events cancels the second,
+    # which is already queued behind it.
     sim = Simulator()
     fired = []
     hit = []
@@ -381,32 +339,6 @@ def test_cancel_event_staged_in_drain_batch():
     assert sim.pending == 0
 
 
-def test_merged_heap_event_cancels_staged_wheel_event():
-    # A heap event merged into a wheel batch cancels the very wheel
-    # event the merge loop was interleaving against. The drain must
-    # not advance the clock to the corpse's time (the heap reference
-    # ends at the cancel time) nor double-drop the live counter.
-    for levels in (0, 1, 2, 3):
-        sim = Simulator(wheel_levels=levels)
-        fired = []
-        timer = sim.schedule_periodic(1.0, lambda: fired.append(sim.now))
-        # 20.5 bins past the 2048 x 10 ms level-0 horizon, so with no
-        # upper levels it lands in the overflow heap and fires via the
-        # batch merge path while the 21.0 occurrence is staged.
-        sim.at(20.5, timer.cancel)
-        sim.run()
-        assert fired[-1] == 20.0, levels
-        assert sim.now == 20.5, levels
-        assert sim.pending == 0, levels
-
-    ref = Simulator(wheel=False)
-    fired = []
-    timer = ref.schedule_periodic(1.0, lambda: fired.append(ref.now))
-    ref.at(20.5, timer.cancel)
-    ref.run()
-    assert ref.now == 20.5 and ref.pending == 0
-
-
 def test_cancel_call_soon_event_before_it_fires():
     sim = Simulator()
     fired = []
@@ -422,44 +354,63 @@ def test_cancel_call_soon_event_before_it_fires():
     assert sim.pending == 0
 
 
-def test_upper_level_events_cascade_and_fire_in_order():
-    # Tiny geometry: 16 level-0 slots, 8-slot upper levels, so these
-    # deadlines span level 1, level 2, and the overflow heap, with
-    # ring-mask collisions in every level.
-    sim = Simulator(
-        wheel_width=0.01, wheel_slots=16,
-        wheel_levels=3, wheel_upper_slots=8,
-    )
-    times = [4.17, 0.05, 1.03, 26.0, 0.9, 11.5, 1.02, 260.0, 0.05]
-    order = []
-    for t in times:
-        sim.at(t, order.append, t)
-    sim.run()
-    assert order == sorted(times)
-    assert sim._cascades > 0
-
-
-def test_dispatch_stats_count_batches_and_cascades():
+def test_call_unique_coalesces_pending_requests():
     sim = Simulator()
-    for i in range(10):
-        sim.at(0.0041 + i * 1e-5, lambda: None)  # one level-0 slot
-    sim.at(500.0, lambda: None)  # parks in an upper level
+    hits = []
+
+    def solve():
+        hits.append(sim.now)
+
+    def dirty():
+        first = sim.call_unique(solve)
+        assert sim.call_unique(solve) is first
+        assert sim.call_unique(solve) is first
+
+    sim.at(1.0, dirty)
+    sim.at(1.0, dirty)  # same timestep, still pending: coalesced too
     sim.run()
-    stats = sim.dispatch_stats
-    assert stats["batches"] >= 1
-    assert stats["batch_events"] >= 10
-    assert stats["batch_max"] >= 10
-    assert stats["cascades"] >= 1
-    assert stats["batch_mean"] > 0.0
-    # Heap-only engines have no batch machinery: stats stay zero.
-    plain = Simulator(wheel=False)
-    plain.at(1.0, lambda: None)
-    plain.run()
-    assert plain.dispatch_stats["batches"] == 0
+    assert hits == [1.0]
+    assert sim.pending == 0
+
+
+def test_call_unique_can_rearm_from_inside_fn():
+    sim = Simulator()
+    hits = []
+
+    def solve():
+        hits.append(sim.now)
+        if len(hits) < 3:
+            sim.call_unique(solve)
+
+    sim.at(2.0, sim.call_unique, solve)
+    sim.run()
+    assert hits == [2.0, 2.0, 2.0]
+
+
+def test_call_unique_after_cancel_schedules_again():
+    # Regression: a cancelled registration used to be handed back to
+    # every later request, so the callable never ran again.
+    sim = Simulator()
+    hits = []
+
+    def solve():
+        hits.append(sim.now)
+
+    sim.call_unique(solve).cancel()
+    fresh = sim.call_unique(solve)
+    assert not fresh.cancelled
+    assert sim.call_unique(solve) is fresh
+    sim.run()
+    assert hits == [0.0]
+    sim.at(1.0, sim.call_unique, solve)
+    sim.run()
+    assert hits == [0.0, 1.0]
 
 
 def test_step_and_peek_merge_wheel_and_heap():
-    sim = Simulator(wheel_width=0.01, wheel_slots=16)
+    # step() and peek() see a near and a far event in time order
+    # whatever order they were scheduled in.
+    sim = Simulator()
     order = []
     sim.at(500.0, order.append, "heap")
     sim.at(0.01, order.append, "wheel")
@@ -468,5 +419,6 @@ def test_step_and_peek_merge_wheel_and_heap():
     assert order == ["wheel"]
     assert sim.peek() == 500.0
     assert sim.step()
+    assert sim.peek() is None
     assert not sim.step()
     assert order == ["wheel", "heap"]

@@ -1,18 +1,99 @@
-"""Property test: timer-structure equivalence.
+"""Property test: the engine against a reference scheduler.
 
-The engine promises a strict (time, seq) total order regardless of
-which structure holds a timer — overflow heap, single-level wheel, or
-a hierarchical wheel with cascading upper levels. This generates
-random workloads (mixed near/far deadlines, chained scheduling,
-cancels, reschedules, periodics, chunked runs) and asserts the fire
-log is *exactly* identical — same tags, same float times — across all
-configurations, including a deliberately tiny geometry that forces
-heavy cascading and slot-mask collisions.
+The engine promises a strict ``(time, seq)`` total order: events fire
+by time, and same-time events in the order they were scheduled. The
+reference below keeps that promise in the most obvious way — a list
+kept sorted by ``(time, seq)`` — and implements the same scheduling
+surface (``at``, ``call_soon``, ``schedule_periodic``, ``reschedule``,
+``cancel``, ``run(until)``, ``step``, ``stop``). Random workloads
+(mixed near/far deadlines, same-time ties, chained scheduling,
+``call_soon`` follow-ups, cancels, reschedules, periodics, chunked
+runs, stops and single steps) must produce *exactly* the same fire log
+— same tags, same float times — on both.
 """
+
+import bisect
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator
+
+
+class _RefEvent:
+    def __init__(self, sim, time, seq, fn, interval=0.0):
+        self.sim = sim
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.interval = interval
+        self.queued = True
+        self.cancelled = False
+
+    def cancel(self):
+        if self.cancelled:
+            return
+        self.cancelled = True
+        if self.queued:
+            self.queued = False
+            self.sim.queue.remove(self)
+
+
+class _RefScheduler:
+    """The oracle: a list of events sorted by ``(time, seq)``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.queue = []
+        self.stopped = False
+
+    def _push(self, event):
+        self.seq += 1
+        event.seq = self.seq
+        event.queued = True
+        keys = [(e.time, e.seq) for e in self.queue]
+        self.queue.insert(bisect.bisect(keys, (event.time, event.seq)), event)
+        return event
+
+    def at(self, delay, fn):
+        return self._push(_RefEvent(self, self.now + delay, 0, fn))
+
+    def call_soon(self, fn):
+        return self.at(0.0, fn)
+
+    def schedule_periodic(self, interval, fn):
+        return self._push(_RefEvent(self, self.now + interval, 0, fn, interval))
+
+    def reschedule(self, event, time):
+        assert not event.queued and not event.cancelled
+        event.time = time
+        return self._push(event)
+
+    def stop(self):
+        self.stopped = True
+
+    def step(self):
+        if not self.queue:
+            return False
+        event = self.queue.pop(0)
+        self.now = event.time
+        event.queued = False
+        if event.interval:
+            event.time += event.interval
+            self._push(event)
+        event.fn()
+        return True
+
+    def run(self, until=None):
+        self.stopped = False
+        while self.queue and not self.stopped:
+            if until is not None and self.queue[0].time > until:
+                break
+            self.step()
+        if until is not None and not self.stopped and self.now < until:
+            self.now = until
+        return self.now
+
 
 # (delay, action, aux, period) per timer:
 #   action 0: plain one-shot
@@ -20,18 +101,29 @@ from repro.sim import Simulator
 #   action 2: one-shot cancelled at absolute time aux (maybe too late)
 #   action 3: periodic(period), cancelled at absolute time aux
 #   action 4: one-shot that reschedules itself once to now+aux
-_delays = st.floats(min_value=0.0, max_value=50_000.0,
-                    allow_nan=False, allow_infinity=False)
-_aux = st.floats(min_value=0.0, max_value=600.0,
-                 allow_nan=False, allow_infinity=False)
-_periods = st.floats(min_value=1.0, max_value=300.0,
-                     allow_nan=False, allow_infinity=False)
-_timer = st.tuples(_delays, st.integers(min_value=0, max_value=4),
+#   action 5: one-shot that queues a call_soon follow-up from its fire
+# Whole-second values make same-time ties common, so the seq tie-break
+# is exercised as hard as the time order.
+def _times(max_value, min_value=0.0):
+    return st.one_of(
+        st.floats(min_value=min_value, max_value=max_value,
+                  allow_nan=False, allow_infinity=False),
+        st.integers(min_value=int(min_value), max_value=8).map(float),
+    )
+
+
+_delays = _times(50_000.0)
+_aux = _times(600.0)
+_periods = _times(300.0, min_value=1.0)
+_timer = st.tuples(_delays, st.integers(min_value=0, max_value=5),
                    _aux, _periods)
 _workload = st.lists(_timer, min_size=1, max_size=25)
 _chunks = st.lists(st.floats(min_value=0.0, max_value=60_000.0,
                              allow_nan=False, allow_infinity=False),
                    max_size=3).map(sorted)
+_stops = st.lists(st.floats(min_value=0.0, max_value=60_000.0,
+                            allow_nan=False, allow_infinity=False),
+                  max_size=3)
 
 
 def _schedule_workload(sim, spec, log):
@@ -61,25 +153,30 @@ def _schedule_workload(sim, spec, log):
                     once.append(1)
                     sim.reschedule(events[i], sim.now + aux)
             events[i] = sim.at(delay, rearming)
+        elif action == 5:
+            def soon(i=i):
+                log.append((i, sim.now))
+                sim.call_soon(lambda i=i: log.append((i, sim.now, "soon")))
+            events[i] = sim.at(delay, soon)
 
 
-def _run_workload(spec, chunks, **sim_kwargs):
-    sim = Simulator(seed=7, **sim_kwargs)
+def _run_workload(sim, spec, chunks):
     log = []
     _schedule_workload(sim, spec, log)
     for until in chunks:
         sim.run(until=until)
+        log.append(("clock", sim.now))
     sim.run()
+    log.append(("clock", sim.now))
     return log
 
 
-def _run_workload_stop_step(spec, chunks, stops, steps, **sim_kwargs):
+def _run_workload_stop_step(sim, spec, chunks, stops, steps):
     """Drain the workload while interleaving stop(), run(until), step().
 
     Each stop() may end a run(until) chunk early; the final drain loops
     run() once per possible stop so the queue always empties.
     """
-    sim = Simulator(seed=7, **sim_kwargs)
     log = []
     _schedule_workload(sim, spec, log)
     for t in stops:
@@ -96,47 +193,26 @@ def _run_workload_stop_step(spec, chunks, stops, steps, **sim_kwargs):
     return log
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(spec=_workload, chunks=_chunks)
 def test_fire_order_identical_across_timer_structures(spec, chunks):
-    reference = _run_workload(spec, chunks, wheel=False)
-    # Single-level wheel (everything far goes through the heap).
-    assert _run_workload(spec, chunks, wheel_levels=1) == reference
-    # Hierarchical wheel, default geometry.
-    assert _run_workload(spec, chunks) == reference
-    # Tiny geometry: level-0 horizon 0.16s, upper levels 8 slots each,
-    # so nearly every timer parks in an upper level or the heap and
-    # most slots share a mask — maximal cascade pressure.
-    assert _run_workload(
-        spec, chunks,
-        wheel_width=0.01, wheel_slots=16,
-        wheel_levels=3, wheel_upper_slots=8,
-    ) == reference
+    """The engine's heap and the reference's sorted list agree."""
+    sim = Simulator(seed=7)
+    assert _run_workload(sim, spec, chunks) == \
+        _run_workload(_RefScheduler(), spec, chunks)
+    assert sim.pending == 0
 
 
-_stops = st.lists(st.floats(min_value=0.0, max_value=60_000.0,
-                            allow_nan=False, allow_infinity=False),
-                  max_size=3)
-
-
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(spec=_workload, chunks=_chunks, stops=_stops,
        steps=st.integers(min_value=0, max_value=4))
 def test_stop_step_interleaving_identical_across_structures(spec, chunks,
                                                             stops, steps):
     # Regression guard: run(until) ended by stop() must not advance the
-    # clock past still-pending events — the wheel scan-start clamp
-    # assumes live level-0 bins never sit below int(now/width), so a
-    # stale fast-forward reordered fires and sent the clock backwards.
-    reference = _run_workload_stop_step(spec, chunks, stops, steps,
-                                        wheel=False)
-    times = [entry[1] for entry in reference]
+    # clock past still-pending events.
+    log = _run_workload_stop_step(Simulator(seed=7), spec, chunks, stops,
+                                  steps)
+    times = [entry[1] for entry in log]
     assert times == sorted(times)  # clock never goes backwards
-    assert _run_workload_stop_step(spec, chunks, stops, steps,
-                                   wheel_levels=1) == reference
-    assert _run_workload_stop_step(spec, chunks, stops, steps) == reference
-    assert _run_workload_stop_step(
-        spec, chunks, stops, steps,
-        wheel_width=0.01, wheel_slots=16,
-        wheel_levels=3, wheel_upper_slots=8,
-    ) == reference
+    assert log == _run_workload_stop_step(_RefScheduler(), spec, chunks,
+                                          stops, steps)

@@ -1,13 +1,12 @@
-"""Golden-trace determinism: the timer-wheel engine must produce the
-byte-identical event order and trace as the heap-only engine.
+"""Golden-trace determinism: same seed, same schedule calls, same
+firing order, same timestamps.
 
-The hot-path overhaul (timer wheel + overflow heap + in-place periodic
-rescheduling) is only admissible because it is *unobservable*: same
-seed, same schedule calls, same firing order, same timestamps. These
-tests drive both engines through a workload that exercises every nasty
-path — same-time ties, call_soon storms from inside slot drains,
-cancellation churn, events past the wheel horizon, run(until=...)
-resumption — and diff the serialized traces.
+These tests drive the engine through a workload that exercises every
+nasty path — same-time ties, call_soon chains from inside callbacks,
+cancellation churn (enough to trigger heap compaction), far-future
+events, in-place periodic re-arms, run(until=...) resumption — and diff
+the serialized traces of runs that must agree: one run against the
+same run cut into chunks, and a run against its same-seed repeat.
 """
 
 import pytest
@@ -43,7 +42,7 @@ def _torture_workload(sim: Simulator) -> None:
 
     PeriodicTimer(sim, 0.4, hello)
 
-    # Same-time ties and call_soon chains from inside a drain.
+    # Same-time ties and call_soon chains from inside a callback.
     def burst(depth: int):
         log("burst", depth=depth)
         if depth:
@@ -53,8 +52,8 @@ def _torture_workload(sim: Simulator) -> None:
     for t in (0.1, 0.1, 2.5):
         sim.schedule(t, burst, 2)
 
-    # Events far past the wheel horizon (overflow heap), one of which
-    # reschedules short-horizon work when it fires.
+    # Far-future events, one of which schedules near-term work when it
+    # fires.
     def far():
         log("far")
         sim.at(0.002, lambda: log("far_child"))
@@ -63,7 +62,7 @@ def _torture_workload(sim: Simulator) -> None:
     sim.at(90.0, lambda: log("far2"))
 
     # Cancellations, including cancel-from-the-same-timestamp.
-    doomed = [sim.at(5.0 + 0.001 * i, lambda i=i: log("doomed", i=i)) for i in range(50)]
+    doomed = [sim.at(5.0 + 0.001 * i, lambda i=i: log("doomed", i=i)) for i in range(200)]
 
     def reap():
         log("reap")
@@ -81,20 +80,9 @@ def _torture_workload(sim: Simulator) -> None:
     PeriodicTimer(sim, 0.33, draw)
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_wheel_and_heap_traces_are_byte_identical(seed):
-    traces = {}
-    for wheel in (True, False):
-        sim = Simulator(seed=seed, wheel=wheel)
-        _torture_workload(sim)
-        sim.run(until=120.0)
-        traces[wheel] = _serialize(sim)
-    assert traces[True] == traces[False]
-    assert traces[True]  # non-trivial workload actually ran
-
-
 def test_chunked_run_matches_single_run():
-    """run(until=...) resumption (mid-slot pushback) changes nothing."""
+    """run(until=...) resumption at odd, sub-millisecond cut points
+    changes nothing."""
     whole = Simulator(seed=3)
     _torture_workload(whole)
     whole.run(until=100.0)
@@ -110,37 +98,39 @@ def test_chunked_run_matches_single_run():
     assert whole.pending == chunked.pending
 
 
-def test_wheel_run_is_reproducible():
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_run_is_reproducible(seed):
     runs = []
     for _ in range(2):
-        sim = Simulator(seed=11)
+        sim = Simulator(seed=seed)
         _torture_workload(sim)
-        sim.run(until=50.0)
+        sim.run(until=120.0)
         runs.append(_serialize(sim))
     assert runs[0] == runs[1]
+    assert runs[0]  # non-trivial workload actually ran
 
 
-def test_scenario_trace_identical_across_engines():
-    """A real multi-node scenario (OSPF + traffic) is engine-invariant."""
+def test_scenario_trace_is_reproducible():
+    """A real multi-node scenario (OSPF + traffic) repeats byte for
+    byte under the same seed, whole or cut into chunks."""
     from repro.core import VINI
+    from repro.tools.ping import Ping
 
-    def build_and_run(wheel: bool) -> str:
-        Simulator.default_wheel = wheel
-        try:
-            vini = VINI(seed=5)
-            for name in ("a", "b", "c"):
-                vini.add_node(name)
-            vini.connect("a", "b", bandwidth=10e6, delay=0.01)
-            vini.connect("b", "c", bandwidth=10e6, delay=0.02)
-            vini.install_underlay_routes()
-            from repro.tools.ping import Ping
+    def build_and_run(chunks) -> str:
+        vini = VINI(seed=5)
+        for name in ("a", "b", "c"):
+            vini.add_node(name)
+        vini.connect("a", "b", bandwidth=10e6, delay=0.01)
+        vini.connect("b", "c", bandwidth=10e6, delay=0.02)
+        vini.install_underlay_routes()
+        ping = Ping(vini.nodes["a"], vini.nodes["c"].address,
+                    count=20, interval=0.5)
+        ping.start()
+        for until in chunks:
+            vini.run(until=until)
+        return _serialize(vini.sim)
 
-            ping = Ping(vini.nodes["a"], vini.nodes["c"].address,
-                        count=20, interval=0.5)
-            ping.start()
-            vini.run(until=30.0)
-            return _serialize(vini.sim)
-        finally:
-            Simulator.default_wheel = True
-
-    assert build_and_run(True) == build_and_run(False)
+    first = build_and_run((30.0,))
+    assert first
+    assert build_and_run((30.0,)) == first
+    assert build_and_run((0.75, 4.0, 12.5, 30.0)) == first
